@@ -1,44 +1,39 @@
 """Pipeline configuration — the reference's user-extension surface (§2.14).
 
 Reference: A_Coordinator/Config.java:84-120,202-328 (per-use-case JSON:
-mapper choice, thresholds, turnAttributesToClasses, includeInverseAxioms,
-abbreviation expansion on/off) and align/bertmap/default_config.yaml.
+mapper choice, thresholds, abbreviation expansion) and
+align/bertmap/default_config.yaml.
 
-One dataclass, loadable from JSON/dict, threaded through the pipelines.
-The three extension surfaces match the reference: (1) this config, (2) extra
-rule hooks (``extra_rules`` callables rewriting the compiled RuleTable —
-FormatSpecificRules analogue), (3) the scorer plug (``scorer_cls`` — swap the
+One dataclass, loadable from JSON/dict, threaded through the linking stage
+(``pipelines.linking_pipeline``). Two extension surfaces match the
+reference: (1) this config, (2) the scorer plug (``scorer_cls`` — swap the
 surrogate for a HF-checkpoint-backed class with the same __call__ shape).
+Every field is read by a pipeline; keys of older configs that no longer
+name a field are ignored on load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from dataclasses import asdict, dataclass
+from typing import Any
+
+from knowledgegraphs_ray.linking.scorer import SurrogateCrossEncoder
 
 
 @dataclass
 class PipelineConfig:
-    # rule extraction (Config.java turnAttributesToClasses / includeInverseAxioms)
-    attrs_to_classes: bool = False
-    include_inverse: bool = False
     # mapper choice: "exact" (ExactMapper) or "scored" (BERTMap path)
     mapper: str = "scored"
-    # selection thresholds (MappingSelection BES/PJ; bertmap kappa/lambda)
+    # selection thresholds (MappingSelection BES/PJ)
     bes_hi: float = 0.85
     bes_lo: float = 0.60
     pj_hi: float = 0.5
-    kappa: float = 0.85
-    lam: float = 0.90
-    depth_threshold: int = 3
     # candidate generation (default_config.yaml:73-74)
     num_raw_candidates: int = 200
-    num_best_predictions: int = 20
-    # abbreviation expansion on/off (Config.java applyMedicalAbbreviationExpansion)
-    expand_abbreviations: bool = False
     # abbreviation dictionary (full-form vocabulary), the MedicalDictionary
-    # analogue; required when expand_abbreviations is on
+    # analogue; abbreviated mentions are expanded against it when set
+    # (Config.java applyMedicalAbbreviationExpansion)
     abbrev_dictionary: dict | None = None
     # scorer stage sizing
     scorer_concurrency: int = 2
@@ -47,9 +42,8 @@ class PipelineConfig:
     # candidate score; None = plain per-mention linking
     context_window: int | None = None
     context_weight: float = 0.3
-    # extension hooks
-    extra_rules: list[Callable] = field(default_factory=list)
-    scorer_cls: type | None = None
+    # scorer plug (see linking.scorer.score_candidates)
+    scorer_cls: type = SurrogateCrossEncoder
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PipelineConfig":
@@ -63,6 +57,5 @@ class PipelineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)
-        d.pop("extra_rules", None)
         d.pop("scorer_cls", None)
         return d

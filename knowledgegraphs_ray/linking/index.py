@@ -104,11 +104,7 @@ class CandidateGenerator:
 
     def __call__(self, batch: pa.Table) -> pd.DataFrame:
         if self._idx is None:
-            self._idx = (
-                ray.get(self.index_ref)
-                if not isinstance(self.index_ref, AnnotationIndex)
-                else self.index_ref
-            )
+            self._idx = ray.get(self.index_ref)
         idx = self._idx
         df = batch.to_pandas()
         # dedupe mentions within the batch — candidate gen is per distinct
@@ -140,8 +136,6 @@ def generate_candidates(
     *,
     mention_col: str = "mention",
     k: int = 200,
-    broadcast: bool = True,
 ) -> ray.data.Dataset:
-    ref = ray.put(index) if broadcast else index
-    gen = CandidateGenerator(ref, mention_col=mention_col, k=k)
+    gen = CandidateGenerator(ray.put(index), mention_col=mention_col, k=k)
     return mentions.map_batches(gen, batch_format="pyarrow")

@@ -20,6 +20,14 @@ import ray.data
 
 TOKEN_RE = "[a-z0-9_]+"
 
+
+def mention_tokens(text_col: str) -> pl.Expr:
+    """The mention tokenizer: lowercased ``TOKEN_RE`` runs of ``text_col``,
+    as a list per row. Every path that finds mentions in text uses it, so a
+    mention the linker sees is always one the mentions table holds."""
+    return pl.col(text_col).str.to_lowercase().str.extract_all(TOKEN_RE)
+
+
 # two boundaries: aB -> "a B", and ABc -> "A Bc" (so APIReference -> API Reference,
 # the Java-identifier split of utils/text_utils.py:60-93)
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
@@ -54,16 +62,9 @@ class MentionExtractor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self._forms is None:
-            forms = ray.get(self.forms_ref) if not isinstance(self.forms_ref, (list, set, tuple)) else self.forms_ref
-            self._forms = pl.Series("f", sorted(forms))
+            self._forms = pl.Series("f", sorted(ray.get(self.forms_ref)))
         df = pl.from_arrow(batch.select([self.id_col, self.text_col]))
-        toks = df.select(
-            pl.col(self.id_col),
-            pl.col(self.text_col)
-            .str.to_lowercase()
-            .str.extract_all(TOKEN_RE)
-            .alias("tok"),
-        )
+        toks = df.select(pl.col(self.id_col), mention_tokens(self.text_col).alias("tok"))
         uni = toks.explode("tok").drop_nulls("tok")
         parts = [uni]
         if self.bigrams:
@@ -96,8 +97,8 @@ def extract_mentions(
     id_col: str,
     text_col: str = "text",
     bigrams: bool = False,
-    broadcast: bool = True,
 ) -> ray.data.Dataset:
-    forms_ref = ray.put(set(surface_forms)) if broadcast else set(surface_forms)
-    ext = MentionExtractor(forms_ref, id_col=id_col, text_col=text_col, bigrams=bigrams)
+    ext = MentionExtractor(
+        ray.put(set(surface_forms)), id_col=id_col, text_col=text_col, bigrams=bigrams
+    )
     return ds.map_batches(ext, batch_format="pyarrow", zero_copy_batch=True)

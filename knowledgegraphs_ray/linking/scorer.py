@@ -102,15 +102,18 @@ def score_candidates(
     *,
     concurrency: int | tuple[int, int] = 2,
     batch_size: int = 4096,
-    broadcast: bool = True,
+    scorer_cls: type = SurrogateCrossEncoder,
 ) -> ray.data.Dataset:
     """Run the scorer as an ActorPoolStrategy map_batches stage — the state
     (label profiles) is built once per actor. Keep
-    ``concurrency × num_cpus < cluster CPUs`` or upstream reads starve."""
-    ref = ray.put(index) if broadcast else index
+    ``concurrency × num_cpus < cluster CPUs`` or upstream reads starve.
+
+    ``scorer_cls`` is the model plug: any class constructed from the
+    broadcast index ref whose ``__call__`` adds ``bes``/``pj`` to a batch of
+    (mention, cand_iri) rows (e.g. ``torch_scorer.TorchCrossEncoder``)."""
     return cands.map_batches(
-        SurrogateCrossEncoder,
-        fn_constructor_args=(ref,),
+        scorer_cls,
+        fn_constructor_args=(ray.put(index),),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -98,6 +98,13 @@ def _lzw_decode(min_code: int, data: bytes, expected: int) -> np.ndarray:
     return out
 
 
+def _byte(data: bytes, pos: int) -> int:
+    """``data[pos]``, or BadGif when the stream ends before ``pos``."""
+    if pos >= len(data):
+        raise BadGif("truncated stream")
+    return data[pos]
+
+
 def decode_gif(data: bytes) -> np.ndarray:
     """-> uint8 (h, w, 3) RGB, or (h, w, 4) RGBA when the first frame
     carries a transparency index (89a graphic control)."""
@@ -110,9 +117,9 @@ def decode_gif(data: bytes) -> np.ndarray:
     gct = None
     if flags & 0x80:
         n = 2 << (flags & 7)
-        gct = np.frombuffer(data[pos : pos + 3 * n], np.uint8).reshape(-1, 3)
-        if len(gct) != n:
+        if pos + 3 * n > len(data):
             raise BadGif("truncated global color table")
+        gct = np.frombuffer(data[pos : pos + 3 * n], np.uint8).reshape(-1, 3)
         pos += 3 * n
     transparent = None
     while pos < len(data):
@@ -120,39 +127,45 @@ def decode_gif(data: bytes) -> np.ndarray:
         if b == 0x3B:  # trailer
             raise BadGif("no image descriptor before trailer")
         if b == 0x21:  # extension
-            label = data[pos + 1]
+            label = _byte(data, pos + 1)
             pos += 2
-            if label == 0xF9 and data[pos] >= 4:  # graphic control
-                gflags = data[pos + 1]
+            if label == 0xF9 and _byte(data, pos) >= 4:  # graphic control
+                gflags = _byte(data, pos + 1)
                 if gflags & 1:
-                    transparent = data[pos + 4]
+                    transparent = _byte(data, pos + 4)
             while True:  # skip sub-blocks
-                sz = data[pos]
+                sz = _byte(data, pos)
                 pos += 1 + sz
                 if sz == 0:
                     break
             continue
         if b != 0x2C:
             raise BadGif(f"unexpected block 0x{b:02X}")
+        if pos + 10 > len(data):
+            raise BadGif("truncated stream")
         left, top, iw, ih, iflags = struct.unpack("<HHHHB", data[pos + 1 : pos + 10])
         pos += 10
         lct = gct
         if iflags & 0x80:
             n = 2 << (iflags & 7)
+            if pos + 3 * n > len(data):
+                raise BadGif("truncated local color table")
             lct = np.frombuffer(data[pos : pos + 3 * n], np.uint8).reshape(-1, 3)
             pos += 3 * n
         if lct is None:
             raise BadGif("image without any color table")
-        min_code = data[pos]
+        min_code = _byte(data, pos)
         pos += 1
         if not (2 <= min_code <= 11):
             raise BadGif(f"bad LZW minimum code size {min_code}")
         chunks = []
         while True:
-            sz = data[pos]
+            sz = _byte(data, pos)
             pos += 1
             if sz == 0:
                 break
+            if pos + sz > len(data):
+                raise BadGif("truncated stream")
             chunks.append(data[pos : pos + sz])
             pos += sz
         idx = _lzw_decode(min_code, b"".join(chunks), iw * ih)

@@ -152,10 +152,23 @@ def ordered_transcripts(ds: ray.data.Dataset, *, strategy: str = "sort") -> ray.
     return ds.groupby("conv_id").map_groups(sort_group, batch_format="pandas")
 
 
+def turn_iri(batch: pa.Table) -> pa.Array:
+    """Turn IRI per row, ``kg:conversation/<conv_id>/t<turn_idx>``: the one
+    place the format is written, shared by the triple kernel (turn
+    subjects) and mention extraction (mention-edge subjects)."""
+    return pc.binary_join_element_wise(
+        pa.scalar(KG + "conversation/"),
+        batch["conv_id"].combine_chunks(),
+        pa.scalar("/t"),
+        pc.cast(batch["turn_idx"], pa.string()).combine_chunks(),
+        "",
+    )
+
+
 class TranscriptTripleKernel:
     """Arrow batch of turns -> (subj, pred, obj) triples. Pure / map-only.
 
-    conv IRI = kg:conversation/<conv_id>; turn IRI = <conv IRI>/t<turn_idx>.
+    conv IRI = kg:conversation/<conv_id>; turn IRI = ``turn_iri``.
     Conversation-level triples ride on the turn_idx==0 row.
     """
 
@@ -166,8 +179,7 @@ class TranscriptTripleKernel:
         conv = pc.binary_join_element_wise(
             pa.scalar(KG + "conversation/"), batch["conv_id"].combine_chunks(), ""
         )
-        turn_idx = pc.cast(batch["turn_idx"], pa.string()).combine_chunks()
-        turn = pc.binary_join_element_wise(conv, pa.scalar("/t"), turn_idx, "")
+        turn = turn_iri(batch)
         out: list[pa.Table] = []
 
         def emit(s, pred, o, mask=None):

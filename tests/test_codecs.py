@@ -683,6 +683,12 @@ def test_gif_roundtrip_paths():
         decode_gif(b"GIF89a\x00")
     with pytest.raises(BadGif):
         decode_gif(b"not a gif")
+    # truncated stream: a cut anywhere after the header (graphic control
+    # extension, descriptor, color tables, image sub-blocks) is BadGif
+    payload = encode_gif(img // 40, pal, transparent=3)
+    for cut in range(13, len(payload) - 1):
+        with pytest.raises(BadGif):
+            decode_gif(payload[:cut])
 
 
 def test_gif_through_real_stages(ray_session):

@@ -77,7 +77,6 @@ def test_flagship_exact_mapper_and_abbrev_expansion(tmp_path):
 
     cfg = PipelineConfig(
         mapper="exact",
-        expand_abbreviations=True,
         abbrev_dictionary={"customer": ["customer"], "supplier": ["supplier"]},
     )
     p = flagship_run(
@@ -91,3 +90,35 @@ def test_flagship_exact_mapper_and_abbrev_expansion(tmp_path):
         assert (links["bes"] == 1.0).all()  # exact mapper: no surrogate scores
         assert set(links.columns) >= {"mention", "cand_iri", "bes", "pj"}
     assert p.dataset("edges").count() > 0
+
+
+def test_context_links_only_name_extracted_mentions(tmp_path):
+    """The context path tokenizes turns with the mentions stage's rule, so
+    every linked mention is one the mentions stage holds and becomes an
+    edge. ``customer_order`` is one token to that rule, not ``customer``."""
+    import pyarrow as pa
+    import ray.data
+
+    from knowledgegraphs_ray.config import PipelineConfig
+
+    n = 3
+    turns = pa.table(
+        {
+            "conv_id": ["c1"] * n,
+            "turn_idx": pa.array(range(n), pa.int32()),
+            "role": ["user"] * n,
+            "text": ["customer_order please", "part supplier", "the nation"],
+            "tool": pa.array([None] * n, pa.string()),
+            "ts": pa.array([0] * n, pa.timestamp("us")),
+        }
+    )
+    p = flagship_run(
+        str(tmp_path / "tok"),
+        ingest=lambda: ray.data.from_arrow(turns),
+        write_nt=False,
+        config=PipelineConfig(context_window=2, scorer_concurrency=1),
+    )
+    linked = set(p.dataset("links").to_pandas()["mention"])
+    extracted = set(p.dataset("mentions").to_pandas()["mention"])
+    assert linked and linked <= extracted
+    assert "customer" not in linked

@@ -43,11 +43,11 @@ def test_ontology_triples_export():
 
 
 def test_pipeline_config_roundtrip(tmp_path):
-    cfg = PipelineConfig(attrs_to_classes=True, bes_hi=0.9, mapper="exact")
+    cfg = PipelineConfig(num_raw_candidates=50, bes_hi=0.9, mapper="exact")
     p = tmp_path / "cfg.json"
     p.write_text(__import__("json").dumps(cfg.to_dict()))
     cfg2 = PipelineConfig.from_json(str(p))
-    assert cfg2.attrs_to_classes and cfg2.bes_hi == 0.9 and cfg2.mapper == "exact"
+    assert cfg2.num_raw_candidates == 50 and cfg2.bes_hi == 0.9 and cfg2.mapper == "exact"
     # unknown keys ignored
     cfg3 = PipelineConfig.from_dict({"bes_hi": 0.7, "not_a_field": 1})
     assert cfg3.bes_hi == 0.7
