@@ -170,6 +170,7 @@ def resolve_duplicates(
     (``components_from_pairs``).
     """
     import ray
+    from knowledgegraphs_ray.extract.joins import native_join
 
     drops = duplicate_drop_ids(
         corpus, components, id_col=id_col, keep=keep, text_col=text_col,
@@ -222,19 +223,21 @@ def resolve_duplicates(
         )
 
     # partition count scaled to the cluster: each hash join spins up
-    # num_partitions aggregator actors, and more actors than CPUs deadlocks
-    # a small cluster (same sizing rule as dedup/minhash._verify_by_join)
+    # num_partitions aggregator actors (same sizing rule as
+    # dedup/minhash._verify_by_join)
     nparts = max(2, min(64, int(ray.cluster_resources().get("CPU", 8)) // 2))
     # repartition squeezes out 0-row blocks: Ray 2.49's hash-shuffle join
     # raises ArrowInvalid ("no match ... on right side") when any right-side
     # input block is empty, even with an identical schema
     marker = drops.map_batches(to_marker, batch_format="pyarrow").repartition(nparts)
-    joined = corpus.join(
+    joined = native_join(
+        corpus,
         marker,
-        join_type="left_outer",
+        left_on=id_col,
+        right_on=id_col,
+        how="left_outer",
         num_partitions=nparts,
-        on=(id_col,),
-        right_on=(id_col,),
+        compact=False,
     )
 
     def keep_unmatched(batch: pa.Table) -> pa.Table:

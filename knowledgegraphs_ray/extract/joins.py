@@ -57,6 +57,32 @@ def broadcast_join(
     return left.map_batches(Probe(ref, how), batch_format="pandas")
 
 
+def join_aggregator_args(num_partitions: int) -> dict:
+    """``ray.remote`` args for a hash join's aggregator actors that the
+    cluster can place all at once.
+
+    Ray sizes each aggregator's ``memory`` reservation from
+    ``DataContext.target_max_block_size``, whatever the input size: 896 MiB
+    at 128 MiB blocks with one partition per aggregator, so 14 GiB for a
+    16-partition join. On a node whose ``memory`` resource is smaller
+    (10.8 GiB on a 15 GB host) the aggregators that do not fit stay pending,
+    and the join waits for them forever with every worker idle. Here the
+    whole pool reserves at most half the cluster's ``memory`` resource,
+    leaving the rest to the shuffle tasks that feed it. CPUs are Ray's own
+    local default for a join: 0.125 per partition the aggregator holds."""
+    ctx = ray.data.DataContext.get_current()
+    n_agg = min(
+        num_partitions,
+        ctx.max_hash_shuffle_aggregators or ctx.default_hash_shuffle_parallelism,
+    )
+    memory = ray.cluster_resources().get("memory", 0.0)
+    return {
+        "num_cpus": 0.125 * -(-num_partitions // n_agg),
+        "memory": int(memory / 2 / n_agg),
+        "scheduling_strategy": "SPREAD",
+    }
+
+
 def native_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -70,7 +96,8 @@ def native_join(
     """Ray's built-in hash-partitioned join (Dataset.join, Ray >= 2.46) —
     the preferred both-sides-large path when available; ``bucket_join`` below
     is the portable fallback with explicit salting control. A tuple key
-    joins on the composite (e.g. the (band_id, band_hash) LSH key).
+    joins on the composite (e.g. the (band_id, band_hash) LSH key). Its
+    aggregators reserve only what the cluster has (``join_aggregator_args``).
 
     ``compact`` (default on) drops 0-row blocks from BOTH sides first:
     Ray's hash-shuffle aggregator intermittently fails on schema-poisoned
@@ -89,6 +116,7 @@ def native_join(
         num_partitions=num_partitions,
         on=(left_on,) if isinstance(left_on, str) else tuple(left_on),
         right_on=(right_on,) if isinstance(right_on, str) else tuple(right_on),
+        aggregator_ray_remote_args=join_aggregator_args(num_partitions),
     )
 
 

@@ -7,15 +7,20 @@ Flow (SURVEY.md §7.1 mentions branch):
                 -> exact label map, or
                    generate_candidates (broadcast IDF inverted index, J2)
                    -> score_candidates (scorer actor pool, B1 stand-in)
-                   -> groupby(mention).map_groups(select_optimal)   (T2-T5)
+                   -> select_links: per-block best candidate per mention
+                      (pick_optimal, map-only) -> one merge of the picks
+                      (fastagg.reduce_partials)                       (T2-T5)
            -> canonicalize_mentions (blocking key + union-find, A4)
 
 Documents (``link_scored``), flagship transcripts and the context-aware
 transcript path all run the same candidate -> score -> select chain.
 
-Only two shuffles: the per-mention selection groupby and the canonicalization
-blocking groupby — both keyed on (short) mention strings after the corpus has
-been reduced to mention rows.
+Linking itself runs no shuffle: the distinct-mention count and the link
+selection are per-block partials merged on the driver (a hash repartition
+only above ``fastagg``'s driver limit). Besides the context path's
+(conv_id, turn_idx) sort, the one shuffle is the canonicalization blocking
+groupby, keyed on (short) mention strings after the corpus has been reduced
+to mention rows.
 """
 
 from __future__ import annotations
@@ -133,7 +138,14 @@ def link_mentions(
             df["mention"] = df["mention"].map(lambda m: fwd.get(m, m))
             return df
 
-        distinct = distinct.map_batches(swap, batch_format="pandas")
+        # an expansion can be a form the corpus also holds (cust -> customer
+        # next to customer): merge the counts again so each surface form is
+        # linked once
+        distinct = sum_partials(
+            distinct.map_batches(swap, batch_format="pandas"),
+            keys=["mention"],
+            sum_cols=["n_srcs"],
+        )
 
     if cfg.mapper == "exact":
         label2iri = single_token_class_labels(index)
@@ -246,7 +258,7 @@ def link_transcripts_with_context(
        context-similarity term (char-ngram Jaccard of candidate label vs
        turn context, weight ``cfg.context_weight``).
     Output: one selected link per distinct mention — ``select_links``
-    groups by mention, so the best blended candidate over all of the
+    picks per mention, so the best blended candidate over all of the
     mention's occurrences wins."""
     import polars as pl
     import pyarrow as pa

@@ -88,6 +88,7 @@ def corpus_diff(
         return _all_as(n, _RKEY, "added")
 
     import ray
+    from knowledgegraphs_ray.extract.joins import native_join
 
     if num_partitions is None:
         # one aggregator actor per ~2 CPUs (the minhash join-tier rule):
@@ -96,12 +97,14 @@ def corpus_diff(
         num_partitions = max(
             2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2)
         )
-    j = o.join(
+    j = native_join(
+        o,
         n,
-        join_type="full_outer",
+        left_on=id_col,
+        right_on=_RKEY,
+        how="full_outer",
         num_partitions=num_partitions,
-        on=(id_col,),
-        right_on=(_RKEY,),
+        compact=False,
     )
 
     def classify(b: pa.Table) -> pd.DataFrame:

@@ -10,14 +10,46 @@ the driver is 100-1000× faster than the distributed aggregate.
 ``driver_limit`` partial rows, so the same call site is correct when the key
 space explodes. This is the single most load-bearing performance pattern in
 the engine; see BASELINE.md for measurements.
+
+``reduce_partials`` is the same two-level merge for a reduction that is not
+a column-wise sum/min/max — a block kernel that keeps one row per key (the
+per-mention link pick): the kernel runs once more over all partials, on the
+driver below ``driver_limit``, per hash partition of the keys above it.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pandas as pd
 import polars as pl
+import pyarrow as pa
 import ray
 import ray.data
+
+
+def _materialize(
+    partials: ray.data.Dataset, driver_limit: int
+) -> tuple[ray.data.Dataset, bool]:
+    """Execute the partials once; True when they fit the driver tier."""
+    parts = partials.materialize()
+    return parts, parts.count() <= driver_limit
+
+
+def _typed_empty(parts: ray.data.Dataset, names: list[str]) -> ray.data.Dataset:
+    """Zero-row result of ``names``. An object-dtype empty pandas frame loses
+    its columns through the Arrow roundtrip, so the fields come from the
+    partials' Arrow schema when it carries every name."""
+    sch = parts.schema()
+    base = getattr(sch, "base_schema", None) if sch else None
+    if isinstance(base, pa.Schema) and all(n in base.names for n in names):
+        fields = [base.field(n) for n in names]
+        return ray.data.from_arrow(pa.schema(fields).empty_table())
+    return ray.data.from_pandas(pd.DataFrame(columns=names))
+
+
+def _n_parts() -> int:
+    return max(8, int(ray.cluster_resources().get("CPU", 8)))
 
 
 def merge_partials(
@@ -31,24 +63,12 @@ def merge_partials(
     ``agg``: column -> "sum" | "min" | "max" (all three merge associatively,
     so per-batch partials compose). Driver polars below ``driver_limit``
     rows, distributed Ray aggregate above."""
-    parts = partials.materialize()
+    parts, on_driver = _materialize(partials, driver_limit)
     cols = list(agg)
-    if parts.count() <= driver_limit:
+    if on_driver:
         pdf = parts.to_pandas()
         if pdf.empty:
-            # an object-dtype empty pandas frame loses its columns through
-            # the Arrow roundtrip — emit a typed empty table when the
-            # partials carry a usable Arrow schema
-            sch = parts.schema()
-            base = getattr(sch, "base_schema", None) if sch else None
-            import pyarrow as pa
-
-            if isinstance(base, pa.Schema) and all(
-                n in base.names for n in keys + cols
-            ):
-                fields = [base.field(n) for n in keys + cols]
-                return ray.data.from_arrow(pa.schema(fields).empty_table())
-            return ray.data.from_pandas(pd.DataFrame(columns=keys + cols))
+            return _typed_empty(parts, keys + cols)
         ops = {
             "sum": lambda c: pl.col(c).sum(),
             "min": lambda c: pl.col(c).min(),
@@ -64,9 +84,43 @@ def merge_partials(
     from ray.data.aggregate import Max, Min, Sum
 
     ray_ops = {"sum": Sum, "min": Min, "max": Max}
-    n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    return parts.repartition(n_parts).groupby(keys).aggregate(
+    return parts.repartition(_n_parts()).groupby(keys).aggregate(
         *[ray_ops[op](c, alias_name=c) for c, op in agg.items()]
+    )
+
+
+def reduce_partials(
+    partials: ray.data.Dataset,
+    *,
+    keys: list[str],
+    reduce: Callable[[pa.Table], pa.Table],
+    columns: list[str],
+    driver_limit: int = 5_000_000,
+) -> ray.data.Dataset:
+    """Merge partial rows with ``reduce``, the Arrow block kernel that made
+    them. ``reduce`` must keep at most one row per ``keys`` and be
+    associative and commutative (a pick under a total order per key), so
+    re-running it over any union of its outputs gives the same rows.
+
+    Below ``driver_limit`` partial rows the merge is one ``reduce`` call on
+    the driver, sorted by ``keys``; above it, a hash repartition on ``keys``
+    puts each key in one block and ``reduce`` runs per block. ``columns``
+    (with ``keys``) name the typed zero-row result of an empty input."""
+    parts, on_driver = _materialize(partials, driver_limit)
+    if on_driver:
+        tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
+        if not tables:
+            return _typed_empty(parts, keys + columns)
+        merged = reduce(pa.concat_tables(tables, promote_options="permissive"))
+        return ray.data.from_arrow(merged.sort_by([(k, "ascending") for k in keys]))
+    # key-based repartition runs on the hash shuffle only; the materialized
+    # partials carry their own DataContext copy, so this does not leak
+    from ray.data.context import ShuffleStrategy
+
+    parts.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    # batch_size=None: one batch per hash partition, so no key is split
+    return parts.repartition(_n_parts(), keys=keys).map_batches(
+        reduce, batch_format="pyarrow", batch_size=None
     )
 
 

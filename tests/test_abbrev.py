@@ -1,5 +1,6 @@
 """Abbreviation-expansion pipeline (AAExpansion analogue, SURVEY §2.13)."""
 
+import pytest
 import ray.data
 
 from knowledgegraphs_ray.linking.abbrev import (
@@ -49,3 +50,22 @@ def test_expand_empty_input():
     ds = ray.data.from_items([{"mention": "plain words only"}])
     out = expand_abbreviations(ds, DICT).to_pandas()
     assert len(out) == 0
+
+
+@pytest.mark.parametrize("mapper", ["exact", "scored"])
+def test_expansion_to_a_corpus_form_links_each_mention_once(mapper):
+    """cust expands to customer, which the corpus also holds: the expanded
+    and the original form still get one link each."""
+    from knowledgegraphs_ray.config import PipelineConfig
+    from knowledgegraphs_ray.pipelines.linking_pipeline import (
+        link_mentions,
+        star_ontology_index,
+    )
+
+    mentions = ray.data.from_items(
+        [{"mention": m} for m in ["customer", "cust", "customer", "cust", "part"]]
+    )
+    cfg = PipelineConfig(mapper=mapper, abbrev_dictionary={"cust": ["customer"]})
+    out = link_mentions(mentions, star_ontology_index(), cfg).to_pandas()
+    assert sorted(out["mention"]) == ["cust", "customer", "part"]
+    assert dict(zip(out["mention"], out["cand_iri"]))["cust"] == "kg:Customer"

@@ -278,3 +278,28 @@ def test_native_join_compacts_zero_row_blocks():
     exp = lt.merge(rt, on="k").sort_values("k").reset_index(drop=True)
     cols = sorted(out.columns)
     pd.testing.assert_frame_equal(out[cols], exp[cols], check_dtype=False)
+
+
+def test_native_join_aggregators_fit_the_cluster():
+    """Every aggregator of a wide join can be placed at once: the pool
+    reserves at most half the cluster's ``memory`` resource (Ray's own
+    sizing asks 896 MiB each, more than a 15 GB host has for 16), and the
+    join with one aggregator per partition finishes."""
+    from knowledgegraphs_ray.extract.joins import join_aggregator_args
+
+    memory = ray.cluster_resources()["memory"]
+    for n in (2, 16, 64):
+        args = join_aggregator_args(n)
+        assert 0 < args["memory"] * n <= memory / 2
+        assert args["num_cpus"] == 0.125
+    left = ray.data.range(64).map_batches(
+        lambda df: df.assign(lv=df["id"] * 2), batch_format="pandas"
+    )
+    right = ray.data.range(64).map_batches(
+        lambda df: df.assign(rv=df["id"] * 3), batch_format="pandas"
+    )
+    out = native_join(
+        left, right, left_on="id", right_on="id", num_partitions=16
+    ).to_pandas()
+    assert sorted(out["id"]) == list(range(64))
+    assert (out["lv"] * 3 == out["rv"] * 2).all()
