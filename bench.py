@@ -156,7 +156,9 @@ def run_scaling_workload(which: str) -> dict:
     Two workloads (see BASELINE.md for the rationale and caveats):
 
     * ``score`` (headline) — the entity-linking scoring stage: 1.6M unique
-      mention/candidate pairs through the SurrogateCrossEncoder actor pool.
+      mention/candidate pairs through ``score_candidates`` with the
+      SurrogateCrossEncoder, which runs as one task per input block fused
+      with the pair feeder.
       This is the stand-in for the BERT cross-encoder that dominates the
       reference's runtime (BertMap.java:124 allots 64h per call) — pure
       CPU-bound model-stage work, the component whose scaling a bigger
@@ -205,9 +207,9 @@ def run_scaling_workload(which: str) -> dict:
         n_pairs = 1_600_000
 
         def make_pairs(batch: dict):
-            # vectorized Arrow feeder — the scoring ACTORS are the measured
-            # stage; a row-wise Python feeder on the one non-actor CPU would
-            # starve the pool at high concurrency and measure itself instead
+            # vectorized Arrow feeder — scoring is the measured stage; a
+            # row-wise Python feeder fused into the same tasks would measure
+            # itself instead
             import pyarrow as pa
             import pyarrow.compute as pc
 
@@ -229,9 +231,7 @@ def run_scaling_workload(which: str) -> dict:
             pairs = ray.data.range(
                 n_pairs, override_num_blocks=max(NUM_CPUS * 8, 32)
             ).map_batches(make_pairs, batch_format="numpy")
-            return score_candidates(
-                pairs, idx, concurrency=max(NUM_CPUS - 1, 1), batch_size=8192
-            ).count()
+            return score_candidates(pairs, idx).count()
     else:
         from knowledgegraphs_ray.pipelines.transcripts import (
             extract_transcript_triples,

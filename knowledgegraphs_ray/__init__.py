@@ -6,7 +6,8 @@ Re-expresses the capabilities of the ENCRYPT KnowledgeGraphs reference
 * rule-based schema -> ontology extraction compiled into vectorized
   triple-extraction kernels (reference: ``C_POextractor/RDB2OWL/*`` and
   ``E_CreateKG/InsertData*``),
-* entity/mention matching as actor-pool ``map_batches`` stages
+* entity/mention matching as instance-passed ``map_batches`` tasks over
+  broadcast indexes
   (reference: BERTMap ``align/bertmap/*`` + AAExpansion),
 * canonicalization via groupby-on-mention-key union-find
   (reference: ``AAExpansion/source/util/NearDuplicates.py``),

@@ -35,9 +35,6 @@ class PipelineConfig:
     # analogue; abbreviated mentions are expanded against it when set
     # (Config.java applyMedicalAbbreviationExpansion)
     abbrev_dictionary: dict | None = None
-    # scorer stage sizing
-    scorer_concurrency: int = 2
-    scorer_batch_size: int = 4096
     # context-aware transcript linking (X2): ±k-turn window blended into the
     # candidate score; None = plain per-mention linking
     context_window: int | None = None

@@ -28,22 +28,27 @@ from knowledgegraphs_ray.rules.compiler import RuleTable
 
 @dataclass
 class AnnotationIndex:
-    """entity_iri -> normalized labels; inverted token -> [entity_iri] with IDF."""
+    """entity_iri -> normalized labels; inverted token -> [entity_iri] with
+    IDF; inverted normalized label -> sorted [entity_iri]."""
 
     labels: dict[str, list[str]] = field(default_factory=dict)
     postings: dict[str, list[str]] = field(default_factory=dict)
     idf: dict[str, float] = field(default_factory=dict)
+    by_label: dict[str, list[str]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, entity_labels: dict[str, list[str]]) -> "AnnotationIndex":
         idx = cls()
         inv: dict[str, set[str]] = defaultdict(set)
+        by_label: dict[str, list[str]] = defaultdict(list)
         for iri, labels in entity_labels.items():
             norm = sorted({normalize_label(l) for l in labels if l})
             idx.labels[iri] = norm
             for lab in norm:
+                by_label[lab].append(iri)
                 for tok in lab.split():
                     inv[tok].add(iri)
+        idx.by_label = {lab: sorted(iris) for lab, iris in by_label.items()}
         n_docs = max(len(idx.labels), 1)
         for tok, iris in inv.items():
             idx.postings[tok] = sorted(iris)
@@ -66,11 +71,9 @@ class AnnotationIndex:
     def exact_match(self, mention: str) -> list[str]:
         """Entities sharing a normalized annotation exactly (ExactMapper /
         string-match shortcut — ExactMapper.java:49-83,
-        mapping_prediction.py:130-149): score 1.0, skip the model."""
-        m = normalize_label(mention)
-        return sorted(
-            iri for iri, labs in self.labels.items() if m in labs
-        )
+        mapping_prediction.py:130-149): score 1.0, skip the model. One
+        lookup in the inverse label map ``build`` made."""
+        return list(self.by_label.get(normalize_label(mention), ()))
 
 
 def ontology_labels_from_rules(rules: RuleTable) -> dict[str, list[str]]:

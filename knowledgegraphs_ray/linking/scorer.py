@@ -4,11 +4,14 @@ The reference scores (src annotation, tgt annotation) pairs with a fine-tuned
 BERT sequence classifier inside one process
 (align/bertmap/bert_classifier.py:51-160, batches of 32). Torch isn't
 available in this sandbox, so the model is a DETERMINISTIC surrogate
-(FIXTURES.md F4): char-3-gram Jaccard + token-set Jaccard, combined — the
-Ray-side plumbing (actor pool via ``map_batches(Cls, concurrency=...)``,
-per-actor state built once in ``__init__``, per-pair scoring, per-candidate
-aggregation per mapping_prediction.py:122-128) is real and is exactly where a
-HF checkpoint would drop in (swap ``_pair_score`` for model inference).
+(FIXTURES.md F4): char-3-gram Jaccard + token-set Jaccard, combined. The
+Ray-side plumbing (``map_batches`` over (mention, cand_iri) rows, per-pair
+scoring, per-candidate aggregation per mapping_prediction.py:122-128) is real
+and is exactly where a HF checkpoint drops in (``torch_scorer``).
+
+The surrogate's state is cheap (label profiles built lazily, per candidate
+IRI), so ``score_candidates`` passes it as an instance: it runs as a task
+that fuses with candidate generation and starts no actors.
 """
 
 from __future__ import annotations
@@ -40,26 +43,35 @@ def token_overlap(a: str, b: str) -> float:
 
 
 class SurrogateCrossEncoder:
-    """Actor-pool scorer stage (B1 analogue).
+    """Scorer stage (B1 analogue), run instance-passed as a task.
 
-    __init__ (once per actor): pull the broadcast AnnotationIndex, precompute
-    char-ngram profiles + token sets of every entity label (the "model load").
+    The instance holds only the broadcast index (ref); the first call pulls
+    it, and each candidate IRI's label profiles (char-ngram + token sets)
+    are built when a row first names it, so a task's cost follows the
+    candidates its rows touch, not the ontology size.
     __call__ (per batch): for each (mention, cand_iri) row compute
     bes = max over candidate labels of 0.5*char3gram_jaccard + 0.5*token_jaccard
     pj  = max token-set Jaccard (the PJ column of extractBertMapMappings.py:66-98)
-    exact shortcut (J4): shared normalized annotation -> bes = 1.0, skip scoring.
+    exact shortcut (J4): shared normalized annotation -> bes = 1.0.
     """
 
     def __init__(self, index_ref):
-        idx: AnnotationIndex = (
-            ray.get(index_ref) if not isinstance(index_ref, AnnotationIndex) else index_ref
-        )
-        self.labels = idx.labels
-        self.profiles = {
-            iri: [(lab, char_ngrams(lab), set(lab.split())) for lab in labs]
-            for iri, labs in idx.labels.items()
-        }
+        self.index_ref = index_ref
+        self._labels: dict[str, list[str]] | None = None
+        self._profiles: dict[str, list[tuple[set, set]]] = {}
         self._mention_cache: dict[str, tuple[set, set]] = {}
+
+    def _profile_for(self, iri: str) -> list[tuple[set, set]]:
+        p = self._profiles.get(iri)
+        if p is None:
+            if self._labels is None:
+                idx = self.index_ref
+                if not isinstance(idx, AnnotationIndex):
+                    idx = ray.get(idx)
+                self._labels = idx.labels
+            p = [(char_ngrams(lab), set(lab.split())) for lab in self._labels.get(iri, ())]
+            self._profiles[iri] = p
+        return p
 
     def _mention_profile(self, m: str) -> tuple[set, set]:
         p = self._mention_cache.get(m)
@@ -84,7 +96,7 @@ class SurrogateCrossEncoder:
             if got is None:
                 grams, toks = self._mention_profile(mentions[i])
                 b = p = 0.0
-                for _, lg, lt in self.profiles.get(cands[i], ()):
+                for lg, lt in self._profile_for(cands[i]):
                     b = max(b, 0.5 * jaccard(grams, lg) + 0.5 * jaccard(toks, lt))
                     p = max(p, jaccard(toks, lt))
                 got = (b, p)
@@ -100,22 +112,15 @@ def score_candidates(
     cands: ray.data.Dataset,
     index: AnnotationIndex,
     *,
-    concurrency: int | tuple[int, int] = 2,
-    batch_size: int = 4096,
     scorer_cls: type = SurrogateCrossEncoder,
 ) -> ray.data.Dataset:
-    """Run the scorer as an ActorPoolStrategy map_batches stage — the state
-    (label profiles) is built once per actor. Keep
-    ``concurrency × num_cpus < cluster CPUs`` or upstream reads starve.
+    """Add ``bes``/``pj`` to (mention, cand_iri) rows with a ``scorer_cls``
+    instance built from the broadcast index ref: one instance-passed task
+    per input block, which fuses with the upstream map (candidate
+    generation) and starts no actors, so the input's block count sets the
+    parallelism.
 
-    ``scorer_cls`` is the model plug: any class constructed from the
-    broadcast index ref whose ``__call__`` adds ``bes``/``pj`` to a batch of
-    (mention, cand_iri) rows (e.g. ``torch_scorer.TorchCrossEncoder``)."""
-    return cands.map_batches(
-        scorer_cls,
-        fn_constructor_args=(ray.put(index),),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    ``scorer_cls`` is the model plug: any class constructed from the index
+    ref alone, cheaply (it is built on the driver each call), whose
+    ``__call__`` adds ``bes``/``pj`` to a batch of (mention, cand_iri) rows."""
+    return cands.map_batches(scorer_cls(ray.put(index)), batch_format="pyarrow")

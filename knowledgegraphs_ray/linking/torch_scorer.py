@@ -6,10 +6,12 @@ Reference: align/bertmap/bert_classifier.py:51-160 —
 ``AutoModelForSequenceClassification`` fine-tuned on synonym pairs,
 ``predict(sent_pairs)`` → softmax P(synonym), batch 32, deterministic seeds.
 
-Pool shape mirrors ``SurrogateCrossEncoder`` exactly: the checkpoint loads
-ONCE per actor in ``__init__``; ``__call__`` scores (mention, cand_iri) rows
-with bes = max over candidate labels of P(synonym). Swap in via
-``PipelineConfig.scorer_cls`` or ``score_candidates(..., scorer_cls=...)``.
+Stage shape mirrors ``SurrogateCrossEncoder``: constructed from the index
+ref, ``__call__`` scores (mention, cand_iri) rows with bes = max over
+candidate labels of P(synonym). Unlike the surrogate, construction loads a
+checkpoint, so the class runs in its own actor pool that loads it ONCE per
+actor (see the class docstring). ``score_candidates`` builds its scorer
+from the index ref alone, as a task, and does not take this class.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ checkpointed to partitioned Parquet + lineage manifest (resumable):
     triples     per-turn ontology triples (map-only kernel)
     mentions    dictionary mentions from turn text (map-only)
     links       linking_pipeline.link_mentions: IDF candidates -> scorer
-                pool -> selection (or the context-aware variant)
+                (one fused task) -> selection (or the context-aware
+                variant)
     canonical   union-find canonicalization of mentions
     edges       triples ∪ mention->entity links, Parquet + N-Triples shards
 """
@@ -61,9 +62,9 @@ def flagship_run(
     ``lambda: synth_transcripts(50_000)`` for the synthetic corpus whose text
     embeds entity mentions (FIXTURES.md F1).
 
-    ``config``: optional ``PipelineConfig`` — thresholds, candidate counts,
-    scorer concurrency/batch, and the ``scorer_cls`` model plug flow into the
-    linking stage (the reference's per-use-case config surface, §2.14)."""
+    ``config``: optional ``PipelineConfig`` — thresholds, candidate counts
+    and the ``scorer_cls`` model plug flow into the linking stage (the
+    reference's per-use-case config surface, §2.14)."""
     cfg = config or PipelineConfig()
     idx = index or star_ontology_index()
     forms = set(single_token_class_labels(idx))

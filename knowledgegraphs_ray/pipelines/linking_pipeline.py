@@ -6,7 +6,8 @@ Flow (SURVEY.md §7.1 mentions branch):
                 -> abbreviation expansion (when a dictionary is configured)
                 -> exact label map, or
                    generate_candidates (broadcast IDF inverted index, J2)
-                   -> score_candidates (scorer actor pool, B1 stand-in)
+                   -> score_candidates (B1 stand-in, fused into the
+                      candidate-generation task)
                    -> select_links: per-block best candidate per mention
                       (pick_optimal, map-only) -> one merge of the picks
                       (fastagg.reduce_partials)                       (T2-T5)
@@ -121,9 +122,12 @@ def link_mentions(
     # candidate generation (AAExpansion analogue); selections map back to
     # every original abbreviation afterwards
     inv_map: dict[str, list[str]] = {}
+    own_srcs: dict[str, int] = {}
     if cfg.abbrev_dictionary:
         from knowledgegraphs_ray.linking.abbrev import expand_abbreviations
 
+        # read three times below (expansion, own counts, swap): merge once
+        distinct = distinct.materialize()
         exp = expand_abbreviations(distinct, cfg.abbrev_dictionary).to_pandas()
         fwd = (
             dict(zip(exp["abbrev"], exp["expansion"]))  # vocabulary-sized
@@ -132,6 +136,14 @@ def link_mentions(
         )
         for a, e in fwd.items():
             inv_map.setdefault(e, []).append(a)
+        # each abbreviation's and expansion's own count, before the swap
+        # merges them into one row (vocabulary-sized, on the driver)
+        forms = set(fwd) | set(inv_map)
+        pre = distinct.map_batches(
+            lambda df: df[df["mention"].isin(forms)], batch_format="pandas"
+        ).to_pandas()
+        if not pre.empty:
+            own_srcs = dict(zip(pre["mention"], pre["n_srcs"].astype(int)))
 
         def swap(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -164,7 +176,7 @@ def link_mentions(
         sel = distinct.map_batches(exact_map, batch_format="pandas")
     else:
         sel = _generate_score_select(distinct, index, cfg, k=cfg.num_raw_candidates)
-    return _backmap_links(sel, inv_map)
+    return _backmap_links(sel, inv_map, own_srcs)
 
 
 def _generate_score_select(
@@ -175,17 +187,12 @@ def _generate_score_select(
     k: int,
     blend=None,
 ) -> ray.data.Dataset:
-    """IDF top-``k`` candidates -> ``cfg.scorer_cls`` actor pool ->
+    """IDF top-``k`` candidates -> ``cfg.scorer_cls`` (a task fused with
+    candidate generation) ->
     [``blend``, a pandas batch UDF re-weighting ``bes``] -> per-mention
     selection cascade under ``cfg``'s thresholds."""
     cands = generate_candidates(mentions, index, k=k)
-    scored = score_candidates(
-        cands,
-        index,
-        concurrency=cfg.scorer_concurrency,
-        batch_size=cfg.scorer_batch_size,
-        scorer_cls=cfg.scorer_cls,
-    )
+    scored = score_candidates(cands, index, scorer_cls=cfg.scorer_cls)
     if blend is not None:
         scored = scored.map_batches(blend, batch_format="pandas")
     return select_links(
@@ -193,10 +200,16 @@ def _generate_score_select(
     )
 
 
-def _backmap_links(sel: ray.data.Dataset, inv_map: dict[str, list[str]]) -> ray.data.Dataset:
+def _backmap_links(
+    sel: ray.data.Dataset,
+    inv_map: dict[str, list[str]],
+    own_srcs: dict[str, int],
+) -> ray.data.Dataset:
     """After selection over EXPANDED surface forms, re-emit each selection
     under every original abbreviation that expanded to it (broadcast
-    inverse multimap), keeping the expanded rows too."""
+    inverse multimap), keeping the expanded rows too. Each of these rows
+    carries its own form's pre-swap ``n_srcs`` from ``own_srcs`` (0 for an
+    expansion the corpus does not hold), not the merged count."""
     if not inv_map:
         return sel
 
@@ -215,10 +228,17 @@ def _backmap_links(sel: ray.data.Dataset, inv_map: dict[str, list[str]]) -> ray.
                 columns="__origs"
             )
             rows.append(exploded)
-        return pd.concat(
+        out = pd.concat(
             [r.drop(columns="__origs", errors="ignore") for r in rows],
             ignore_index=True,
         )
+        if "n_srcs" in out.columns:
+            fixed = out["mention"].isin(inv_map).to_numpy()
+            fixed[len(df):] = True  # the re-emitted abbreviation rows
+            out.loc[fixed, "n_srcs"] = (
+                out.loc[fixed, "mention"].map(own_srcs).fillna(0).astype("int64")
+            )
+        return out
 
     return sel.map_batches(back, batch_format="pandas")
 
@@ -295,7 +315,7 @@ def link_transcripts_with_context(
 
     class Blend:
         """Context-similarity blend, deduped to unique (cand_iri, context)
-        pairs per batch; candidate-label n-gram sets memoized per actor."""
+        pairs per batch; candidate-label n-gram sets memoized per instance."""
 
         def __init__(self):
             self._label_grams: dict[str, list[frozenset]] = {}
@@ -327,8 +347,7 @@ def link_transcripts_with_context(
             df["bes"] = (1 - ctx_weight) * df["bes"] + ctx_weight * df["ctx_score"]
             return df
 
-    # instance-passed (task pool): the memo then only spans one batch, but a
-    # dedicated actor pool here could starve the upstream scorer pool on
-    # small clusters (see verify-skill gotcha); the unique-pair dedupe is
+    # instance-passed (task pool): it fuses into the candidate -> score
+    # task. The memo then only spans one batch; the unique-pair dedupe is
     # the main win anyway
     return _generate_score_select(mentions, index, cfg, k=20, blend=Blend())

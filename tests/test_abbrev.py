@@ -69,3 +69,28 @@ def test_expansion_to_a_corpus_form_links_each_mention_once(mapper):
     out = link_mentions(mentions, star_ontology_index(), cfg).to_pandas()
     assert sorted(out["mention"]) == ["cust", "customer", "part"]
     assert dict(zip(out["mention"], out["cand_iri"]))["cust"] == "kg:Customer"
+
+
+def test_backmapped_abbreviation_keeps_its_own_count():
+    """customer x2 and cust x3 under cust -> customer: each link row reports
+    its own form's occurrences (3 for cust, 2 for customer), not the 5 of
+    both; an expansion the corpus does not hold reports 0."""
+    from knowledgegraphs_ray.config import PipelineConfig
+    from knowledgegraphs_ray.pipelines.linking_pipeline import (
+        link_mentions,
+        star_ontology_index,
+    )
+
+    mentions = ray.data.from_items(
+        [{"mention": m} for m in ["customer", "cust", "customer", "cust", "cust", "part"]]
+    )
+    cfg = PipelineConfig(abbrev_dictionary={"cust": ["customer"]})
+    out = link_mentions(mentions, star_ontology_index(), cfg).to_pandas()
+    n_srcs = dict(zip(out["mention"], out["n_srcs"]))
+    assert n_srcs["cust"] == 3
+    assert n_srcs["customer"] == 2
+    assert n_srcs["part"] == 1
+
+    only_abbrev = ray.data.from_items([{"mention": m} for m in ["cust", "cust"]])
+    out = link_mentions(only_abbrev, star_ontology_index(), cfg).to_pandas()
+    assert dict(zip(out["mention"], out["n_srcs"])) == {"cust": 2, "customer": 0}

@@ -58,7 +58,7 @@ def test_flagship_with_context_window(tmp_path):
         str(tmp_path / "ctx"),
         ingest=lambda: synth_transcripts(30, seed=4),
         write_nt=False,
-        config=PipelineConfig(context_window=2, scorer_concurrency=1),
+        config=PipelineConfig(context_window=2),
     )
     edges = p.dataset("edges")
     assert edges.count() > 0
@@ -68,7 +68,7 @@ def test_flagship_with_context_window(tmp_path):
 
 
 def test_flagship_exact_mapper_and_abbrev_expansion(tmp_path):
-    """mapper='exact' skips the scorer pool; abbreviation expansion maps
+    """mapper='exact' skips the scorer; abbreviation expansion maps
     abbreviated mentions to dictionary full forms and selections re-emit
     under the original abbreviations."""
     from knowledgegraphs_ray.config import PipelineConfig
@@ -116,7 +116,7 @@ def test_context_links_only_name_extracted_mentions(tmp_path):
         str(tmp_path / "tok"),
         ingest=lambda: ray.data.from_arrow(turns),
         write_nt=False,
-        config=PipelineConfig(context_window=2, scorer_concurrency=1),
+        config=PipelineConfig(context_window=2),
     )
     linked = set(p.dataset("links").to_pandas()["mention"])
     extracted = set(p.dataset("mentions").to_pandas()["mention"])

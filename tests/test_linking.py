@@ -59,6 +59,25 @@ def test_exact_match_shortcut():
     assert idx.exact_match("credit card") == ["kg:A"]
 
 
+def test_exact_match_equals_label_scan():
+    """The inverse label map answers what a scan over every entity's labels
+    answers: shared labels give every IRI, sorted; misses give []."""
+    idx = AnnotationIndex.build(
+        {
+            "kg:Z": ["loan", "Credit_Card"],
+            "kg:A": ["credit card", "card"],
+            "kg:M": ["CARD", "bank account"],
+            "kg:E": [],
+        }
+    )
+    for m in ["credit card", "Card", "loan", "bank_account", "account", "nothing", ""]:
+        n = normalize_label(m)
+        scan = sorted(iri for iri, labs in idx.labels.items() if n in labs)
+        assert idx.exact_match(m) == scan, m
+    assert idx.exact_match("card") == ["kg:A", "kg:M"]
+    assert idx.exact_match("credit_card") == ["kg:A", "kg:Z"]
+
+
 def test_surrogate_scorer_orders_by_similarity():
     idx = AnnotationIndex.build(
         {"kg:A": ["customer"], "kg:B": ["custom duty"], "kg:C": ["nation"]}
@@ -237,8 +256,8 @@ def test_torch_scorer_contract():
     """B2 seam readiness: the surrogate and the torch cross-encoder expose
     identical stage contracts — same constructor head, same
     ``__call__(pa.Table) -> pd.DataFrame`` with identical output
-    columns/dtypes — so ``TorchCrossEncoder`` drops into
-    ``score_candidates``'s actor pool unchanged when torch lands.
+    columns/dtypes — so ``TorchCrossEncoder`` drops into a scoring
+    ``map_batches`` stage unchanged when torch lands.
     Reference: align/bertmap/bert_classifier.py:51-160."""
     import inspect
 
