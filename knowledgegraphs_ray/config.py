@@ -36,7 +36,9 @@ class PipelineConfig:
     # (Config.java applyMedicalAbbreviationExpansion)
     abbrev_dictionary: dict | None = None
     # context-aware transcript linking (X2): ±k-turn window blended into the
-    # candidate score; None = plain per-mention linking
+    # candidate score; None = plain per-mention linking. That path takes 20
+    # candidates per mention (not num_raw_candidates) and refuses
+    # mapper="exact" and abbrev_dictionary
     context_window: int | None = None
     context_weight: float = 0.3
     # scorer plug (see linking.scorer.score_candidates)

@@ -105,12 +105,16 @@ def reduce_partials(
     Below ``driver_limit`` partial rows the merge is one ``reduce`` call on
     the driver, sorted by ``keys``; above it, a hash repartition on ``keys``
     puts each key in one block and ``reduce`` runs per block. ``columns``
-    (with ``keys``) name the typed zero-row result of an empty input."""
+    (with ``keys``) name the zero-row result of an empty input whose
+    partials carry no schema; with a schema, it keeps every partial column,
+    as a non-empty result does."""
     parts, on_driver = _materialize(partials, driver_limit)
     if on_driver:
         tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
         if not tables:
-            return _typed_empty(parts, keys + columns)
+            sch = parts.schema()
+            rest = [n for n in (sch.names if sch else []) if n not in keys]
+            return _typed_empty(parts, keys + (rest or columns))
         merged = reduce(pa.concat_tables(tables, promote_options="permissive"))
         return ray.data.from_arrow(merged.sort_by([(k, "ascending") for k in keys]))
     # key-based repartition runs on the hash shuffle only; the materialized

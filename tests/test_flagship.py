@@ -122,3 +122,36 @@ def test_context_links_only_name_extracted_mentions(tmp_path):
     extracted = set(p.dataset("mentions").to_pandas()["mention"])
     assert linked and linked <= extracted
     assert "customer" not in linked
+
+
+def test_context_window_over_turns_without_a_mention(tmp_path):
+    """A corpus with no dictionary hit: the context path's per-(mention,
+    candidate) merge is empty, and the run still writes 0 links, the edges
+    and their N-Triples."""
+    import pyarrow as pa
+    import ray.data
+
+    from knowledgegraphs_ray.config import PipelineConfig
+
+    n = 6
+    turns = pa.table(
+        {
+            "conv_id": ["c1"] * 3 + ["c2"] * 3,
+            "turn_idx": pa.array(list(range(3)) * 2, pa.int32()),
+            "role": ["user", "assistant"] * 3,
+            "text": ["hello there", "how can i help", "fine thanks"] * 2,
+            "tool": pa.array([None] * n, pa.string()),
+            "ts": pa.array([0] * n, pa.timestamp("us")),
+        }
+    )
+    root = str(tmp_path / "nohit")
+    p = flagship_run(
+        root,
+        ingest=lambda: ray.data.from_arrow(turns),
+        write_nt=True,
+        config=PipelineConfig(context_window=2),
+    )
+    assert p.metrics()["links"]["rows"] == 0
+    assert p.dataset("links").count() == 0
+    assert p.dataset("edges").count() > 0
+    assert os.path.isdir(root + "/edges_nt") and os.listdir(root + "/edges_nt")
