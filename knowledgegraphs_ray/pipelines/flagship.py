@@ -11,6 +11,10 @@ checkpointed to partitioned Parquet + lineage manifest (resumable):
                 variant)
     canonical   union-find canonicalization of mentions
     edges       triples ∪ mention->entity links, Parquet + N-Triples shards
+
+The N-Triples sink (``edges_nt``) is published atomically like a stage and
+is rewritten whenever ``edges`` was rebuilt or ``edges_nt`` holds no
+``_SUCCESS``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from knowledgegraphs_ray.config import PipelineConfig
 from knowledgegraphs_ray.linking.index import AnnotationIndex
 from knowledgegraphs_ray.linking.mentions import extract_mentions
 from knowledgegraphs_ray.pipelines.linking_pipeline import (
+    check_context_config,
     link_mentions,
     link_transcripts_with_context,
     single_token_class_labels,
@@ -34,7 +39,7 @@ from knowledgegraphs_ray.pipelines.transcripts import (
     transcripts_from_events,
     turn_iri,
 )
-from knowledgegraphs_ray.state.checkpoint import CheckpointedPipeline
+from knowledgegraphs_ray.state.checkpoint import CheckpointedPipeline, is_complete
 
 # Unused here: the linking chain runs in linking_pipeline. The names stay
 # bound because the benchmark's trace mode (kgbench/spans.py LAYER_CALLS)
@@ -66,6 +71,8 @@ def flagship_run(
     and the ``scorer_cls`` model plug flow into the linking stage (the
     reference's per-use-case config surface, §2.14)."""
     cfg = config or PipelineConfig()
+    if cfg.context_window is not None:
+        check_context_config(cfg)  # before any stage is built
     idx = index or star_ontology_index()
     forms = set(single_token_class_labels(idx))
     p = CheckpointedPipeline(root)
@@ -163,8 +170,11 @@ def flagship_run(
         return triples.union(link_edges)
 
     res = p.stage("edges", build_edges, kernel_version=kernel_version)
-    if write_nt and not res.resumed:
+    nt_dir = root + "/edges_nt"
+    # rewritten when edges changed or when no complete sink was published
+    # (a run killed while writing it, or a deleted directory)
+    if write_nt and (not res.resumed or not is_complete(nt_dir)):
         from knowledgegraphs_ray.sinks.ntriples import write_ntriples
 
-        write_ntriples(p.dataset("edges"), root + "/edges_nt")
+        write_ntriples(p.dataset("edges"), nt_dir)
     return p

@@ -370,6 +370,17 @@ _CONTEXT_LINK_SCHEMA = pa.schema(
 )
 
 
+def check_context_config(cfg: PipelineConfig) -> None:
+    """Raise ``ValueError`` for a ``cfg`` the context-aware path cannot
+    honour: it has no exact mapper and no abbreviation expansion. The
+    flagship calls this before its first stage, so a refused config costs
+    no stage work."""
+    if cfg.mapper == "exact":
+        raise ValueError("context linking scores candidates: mapper='exact' is not supported")
+    if cfg.abbrev_dictionary:
+        raise ValueError("context linking does not expand abbreviations: unset abbrev_dictionary")
+
+
 def link_transcripts_with_context(
     transcripts: ray.data.Dataset,
     index: AnnotationIndex,
@@ -406,10 +417,7 @@ def link_transcripts_with_context(
     from knowledgegraphs_ray.pipelines.transcripts import with_context_window
     from knowledgegraphs_ray.util.fastagg import merge_partials
 
-    if cfg.mapper == "exact":
-        raise ValueError("context linking scores candidates: mapper='exact' is not supported")
-    if cfg.abbrev_dictionary:
-        raise ValueError("context linking does not expand abbreviations: unset abbrev_dictionary")
+    check_context_config(cfg)
 
     # assume_sorted: the events-derived ingest is already globally ordered by
     # (conv_id, turn_idx) (segrank's sort), so the flagship pays ONE sort for

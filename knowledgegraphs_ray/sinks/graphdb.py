@@ -40,6 +40,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from knowledgegraphs_ray.sinks.ntriples import ntriples_bytes
+
 # the reference's graphdb_template_config_file.ttl equivalent: the minimal
 # public RDF4J SailRepository config with the id substituted
 REPO_CONFIG_TEMPLATE = """\
@@ -182,16 +184,6 @@ class GraphDBClient:
             raise RuntimeError(f"statement add failed: {status} {body[:200]!r}")
 
 
-def _to_ntriples(batch: pa.Table) -> bytes:
-    """(subj, pred, obj) rows -> N-Triples bytes, reusing the NT sink's
-    line formatter so uploads and file exports are byte-identical."""
-    from knowledgegraphs_ray.sinks.ntriples import to_ntriples_lines
-
-    lines = to_ntriples_lines(batch)
-    col = lines[lines.schema.names[0]]
-    return ("\n".join(col.to_pylist()) + "\n").encode() if len(col) else b""
-
-
 def upload_dataset(
     triples: ray.data.Dataset,
     *,
@@ -201,13 +193,15 @@ def upload_dataset(
     rewrite: bool = False,
 ) -> pd.DataFrame:
     """Parallel ingest: every triple block POSTs itself from its worker —
-    the driver never sees a statement. Returns per-block (rows, bytes)
-    accounting. N-Triples set semantics make block retries safe."""
+    the driver never sees a statement. A block's payload is the bytes the
+    N-Triples file sink writes for it (``ntriples_bytes``). Returns
+    per-block (rows, bytes) accounting. N-Triples set semantics make block
+    retries safe."""
     if create:
         GraphDBClient(endpoint, repo_id).create_repository(rewrite=rewrite)
 
     def block(batch: pa.Table) -> pd.DataFrame:
-        payload = _to_ntriples(batch)
+        payload = ntriples_bytes(batch)
         GraphDBClient(endpoint, repo_id).add_ntriples(payload)
         return pd.DataFrame({"rows": [batch.num_rows], "bytes": [len(payload)]})
 

@@ -32,7 +32,15 @@ LABEL_PREDS = {
 SUBCLASS_PREDS = {"http://www.w3.org/2000/01/rdf-schema#subClassOf", "rdfs:subClassOf"}
 
 
+_UCHAR = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
+
+
 def _compact(iri: str) -> str:
+    """Compact form of an IRIREF's text: ``\\uXXXX``/``\\UXXXXXXXX`` UCHARs
+    (how the sink writes characters IRIREF forbids) decoded, and a known
+    namespace shortened to its prefix."""
+    if "\\" in iri:
+        iri = _UCHAR.sub(lambda m: chr(int(m.group(1) or m.group(2), 16)), iri)
     for pfx, full in PREFIXES.items():
         if iri.startswith(full):
             return pfx + iri[len(full):]

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from knowledgegraphs_ray.pipelines.flagship import flagship_run
 from knowledgegraphs_ray.pipelines.transcripts import synth_transcripts
 
@@ -155,3 +157,65 @@ def test_context_window_over_turns_without_a_mention(tmp_path):
     assert p.dataset("links").count() == 0
     assert p.dataset("edges").count() > 0
     assert os.path.isdir(root + "/edges_nt") and os.listdir(root + "/edges_nt")
+
+
+def _edges_rows(root: str) -> int:
+    import json
+
+    with open(os.path.join(root, "edges", "_SUCCESS")) as f:
+        return json.load(f)["rows"]
+
+
+def test_rerun_rewrites_a_deleted_sink(tmp_path):
+    """A lost ``edges_nt`` is written again by the rerun, although every
+    stage resumes."""
+    import json
+    import shutil
+
+    root = str(tmp_path / "run")
+    flagship_run(root, ingest=_ingest)
+    shutil.rmtree(os.path.join(root, "edges_nt"))
+
+    p = flagship_run(root, ingest=_ingest)
+    assert all(v["resumed"] for v in p.metrics().values())
+    with open(os.path.join(root, "edges_nt", "_SUCCESS")) as f:
+        manifest = json.load(f)
+    assert manifest["triples"] == _edges_rows(root) > 0
+
+
+def test_rerun_replaces_a_half_written_sink(tmp_path):
+    """Shards left without ``_SUCCESS`` (a run killed mid-write) are replaced
+    by the rerun's atomic publish; none of them survives."""
+    root = str(tmp_path / "run")
+    flagship_run(root, ingest=_ingest)
+    nt = os.path.join(root, "edges_nt")
+    os.remove(os.path.join(nt, "_SUCCESS"))
+    with open(os.path.join(nt, "stray_000000.nt"), "w") as f:
+        f.write("<http://kg.local/half> <http://kg.local/written")
+
+    flagship_run(root, ingest=_ingest)
+    assert os.path.exists(os.path.join(nt, "_SUCCESS"))
+    assert "stray_000000.nt" not in os.listdir(nt)
+    lines = sum(
+        open(os.path.join(nt, f)).read().count("\n") for f in os.listdir(nt) if f.endswith(".nt")
+    )
+    assert lines == _edges_rows(root)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"context_window": 2, "mapper": "exact"},
+        {"context_window": 2, "abbrev_dictionary": {"cust": ["customer"]}},
+    ],
+    ids=["exact_mapper", "abbrev_dictionary"],
+)
+def test_refused_context_config_builds_no_stage(tmp_path, cfg):
+    """A config the context path refuses is reported before the first
+    stage: the root holds no stage directory afterwards."""
+    from knowledgegraphs_ray.config import PipelineConfig
+
+    root = str(tmp_path / "refused")
+    with pytest.raises(ValueError):
+        flagship_run(root, ingest=_ingest, config=PipelineConfig(**cfg))
+    assert not os.path.exists(root) or os.listdir(root) == []

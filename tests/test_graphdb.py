@@ -215,3 +215,29 @@ def test_service_tail_end_to_end(stub, tmp_path):
     assert keys == set(pii["dataset"])
     first = _json.loads(log.iloc[0]["value"])
     assert {"element", "dpv_matches", "dataset"} <= set(first)
+
+
+def test_upload_payload_equals_file_shard_bytes(stub, tmp_path):
+    """The statement upload and the N-Triples file sink write the same bytes
+    for the same block."""
+    import os
+
+    import pyarrow as pa
+
+    from knowledgegraphs_ray.sinks.ntriples import write_ntriples
+
+    srv, url = stub
+    batch = pa.table(
+        {
+            "subj": ["kg:s1", "_:b0", "http://example.org/s3"],
+            "pred": pa.array(["rdf:type", "rdfs:label", "kg:p"]).dictionary_encode(),
+            "obj": ["kg:C", 'say "hi"\n', "https://example.org/o"],
+        }
+    )
+    upload_dataset(ray.data.from_arrow(batch), endpoint=url, repo_id="kg")
+    out = str(tmp_path / "nt")
+    write_ntriples(ray.data.from_arrow(batch), out)
+    (shard,) = [f for f in os.listdir(out) if f.endswith(".nt")]
+    with open(os.path.join(out, shard), "rb") as f:
+        file_bytes = f.read()
+    assert [p.encode() for p in srv.repos["kg"]] == [file_bytes]
