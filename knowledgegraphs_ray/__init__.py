@@ -9,7 +9,8 @@ Re-expresses the capabilities of the ENCRYPT KnowledgeGraphs reference
 * entity/mention matching as instance-passed ``map_batches`` tasks over
   broadcast indexes
   (reference: BERTMap ``align/bertmap/*`` + AAExpansion),
-* canonicalization via groupby-on-mention-key union-find
+* canonicalization as union-find per mention blocking key, over per-block
+  distinct partials merged without a shuffle
   (reference: ``AAExpansion/source/util/NearDuplicates.py``),
 * graph materialization as partitioned Parquet / N-Triples edge tables
   (reference: ``E_CreateKG/InsertDataBase.java``).

@@ -9,30 +9,36 @@ groupby-on-mention-key union-find merge into canonical IRIs"):
 
 1. every mention gets a **blocking key** (normalized first token — cheap,
    high recall for near-dups which share leading tokens; pluggable);
-2. ``groupby(block_key).map_groups`` runs union-find WITHIN each group:
-   members merge when token sets are equal, one is a prefix of the other,
-   or char-trigram Jaccard >= ``fuzzy_threshold`` (the model-free stand-in
-   for fuzz.ratio >= 95);
+2. no shuffle: each input block is reduced to its distinct (mention,
+   block_key) rows (map-only), and ``fastagg.reduce_partials`` merges those
+   partials per block_key with ``canonical_rows`` — one call on the driver
+   below fastagg's driver limit, per hash partition of the block_key above
+   it. Within a block, union-find merges members whose token sets are
+   equal, one is a prefix of the other, or char-trigram Jaccard >=
+   ``fuzzy_threshold`` (the model-free stand-in for fuzz.ratio >= 95);
 3. representative = lexicographically smallest member (deterministic — the
    reference's "first" depends on arrival order, which a distributed run
    cannot reproduce);
 4. **skew handling**: blocks larger than ``hot_block_limit`` are near-dup
    EXACT groups by definition of the key (hot mentions like "user"), so the
    quadratic fuzzy pass inside them is skipped and exact-equality grouping
-   is used — bounded work per group regardless of skew (north_rule
-   "skew-aware repartitioning of hot entities"; the groupby itself hash
-   partitions blocks across the cluster).
+   is used — bounded work per block regardless of skew (north_rule
+   "skew-aware repartitioning of hot entities"; above the driver limit the
+   hash repartition spreads blocks across the cluster).
 """
 
 from __future__ import annotations
 
-import pandas as pd
+import functools
+
+import polars as pl
 import pyarrow as pa
 import ray.data
 
 from knowledgegraphs_ray.canon.unionfind import UnionFind
 from knowledgegraphs_ray.linking.mentions import normalize_label
 from knowledgegraphs_ray.linking.scorer import char_ngrams, jaccard
+from knowledgegraphs_ray.util.fastagg import reduce_partials
 
 
 def blocking_key(mention: str) -> str:
@@ -71,6 +77,47 @@ def _near_dup_groups(values: list[str], fuzzy_threshold: float) -> dict[str, str
     return {v: uf.find(v) for v in values}
 
 
+def canonical_rows(
+    keyed: pa.Table,
+    *,
+    mention_col: str = "mention",
+    fuzzy_threshold: float = 0.75,
+    hot_block_limit: int = 500,
+) -> pa.Table:
+    """(mention, block_key) rows -> one (block_key, mention, canonical,
+    canonical_iri) row per distinct mention, sorted by (block_key, mention).
+
+    Key-local: a block's rows depend only on that block's mentions, so any
+    split that keeps each block_key whole gives the same rows."""
+    keys, mentions, canon = [], [], []
+    groups = (
+        pl.from_arrow(keyed.select(["block_key", mention_col]))
+        .unique()
+        .group_by("block_key")
+        .agg(pl.col(mention_col))
+        .sort("block_key")
+    )
+    for key, members in groups.iter_rows():
+        uniq = sorted(members)
+        if len(uniq) > hot_block_limit:
+            # hot block: exact-equality canonicalization only (bounded work)
+            rep = {v: v for v in uniq}
+        else:
+            rep = _near_dup_groups(uniq, fuzzy_threshold)
+        keys += [key] * len(uniq)
+        mentions += uniq
+        canon += [rep[v] for v in uniq]
+    iris = ["kg:entity/" + normalize_label(c).replace(" ", "_") for c in canon]
+    return pa.table(
+        {
+            "block_key": pa.array(keys, pa.string()),
+            mention_col: pa.array(mentions, pa.string()),
+            "canonical": pa.array(canon, pa.string()),
+            "canonical_iri": pa.array(iris, pa.string()),
+        }
+    )
+
+
 def canonicalize_mentions(
     mentions: ray.data.Dataset,
     *,
@@ -80,15 +127,10 @@ def canonicalize_mentions(
 ) -> ray.data.Dataset:
     """mention rows -> (mention, canonical, canonical_iri) mapping table."""
 
-    # combine-before-shuffle: the groupby exchange only needs DISTINCT
-    # mentions per block (merge_group uniquifies anyway). Corpus mention
-    # streams repeat a small surface-form vocabulary millions of times —
-    # deduping per block first shrinks the all-to-all from O(mention
-    # occurrences) to O(distinct per block) and computes blocking keys on
-    # distinct values only (43s -> 7.5s on the 1M-conversation / 23.7M-
-    # mention soak, identical output; the residual is the input scan).
-    import polars as pl
-
+    # combine before the merge: corpus mention streams repeat a small
+    # surface-form vocabulary millions of times, so each block is reduced to
+    # its distinct (mention, block_key) rows first, and blocking keys are
+    # computed on distinct values only
     def distinct_keyed(b: pa.Table) -> pa.Table:
         uniq = pl.from_arrow(b.select([mention_col])).unique().to_arrow()
         return add_blocking_key(uniq, mention_col=mention_col)
@@ -96,19 +138,15 @@ def canonicalize_mentions(
     keyed = mentions.map_batches(
         distinct_keyed, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
-        uniq = sorted(g[mention_col].unique())
-        if len(uniq) > hot_block_limit:
-            # hot block: exact-equality canonicalization only (bounded work)
-            rep = {v: v for v in uniq}
-        else:
-            rep = _near_dup_groups(uniq, fuzzy_threshold)
-        out = pd.DataFrame({mention_col: uniq})
-        out["canonical"] = out[mention_col].map(rep)
-        out["canonical_iri"] = "kg:entity/" + out["canonical"].map(
-            lambda s: normalize_label(s).replace(" ", "_")
-        )
-        return out
-
-    return keyed.groupby("block_key").map_groups(merge_group, batch_format="pandas")
+    merged = reduce_partials(
+        keyed,
+        keys=["block_key"],
+        reduce=functools.partial(
+            canonical_rows,
+            mention_col=mention_col,
+            fuzzy_threshold=fuzzy_threshold,
+            hot_block_limit=hot_block_limit,
+        ),
+        columns=[mention_col, "canonical", "canonical_iri"],
+    )
+    return merged.select_columns([mention_col, "canonical", "canonical_iri"])

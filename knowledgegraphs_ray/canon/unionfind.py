@@ -2,8 +2,8 @@
 
 Reference: AAExpansion/source/util/UnionFind.py:30-71 (used by
 NearDuplicates.py:53-79 to cluster near-duplicate strings). Plain, pure,
-driver/worker agnostic — applied per group inside
-``groupby(blocking_key).map_groups`` so no global mutable state exists.
+driver/worker agnostic — one instance per blocking key inside
+``canonicalize.canonical_rows`` so no global mutable state exists.
 """
 
 from __future__ import annotations

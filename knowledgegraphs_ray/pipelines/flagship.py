@@ -10,7 +10,8 @@ checkpointed to partitioned Parquet + lineage manifest (resumable):
                 (one fused task) -> selection (or the context-aware
                 variant)
     canonical   union-find canonicalization of mentions
-    edges       triples ∪ mention->entity links, Parquet + N-Triples shards
+    edges       mention->entity links, plus the ``triples`` files adopted by
+                hard link (not re-encoded); Parquet + N-Triples shards
 
 The N-Triples sink (``edges_nt``) is published atomically like a stage and
 is rewritten whenever ``edges`` was rebuilt or ``edges_nt`` holds no
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from knowledgegraphs_ray.canon.canonicalize import canonicalize_mentions
@@ -95,19 +97,16 @@ def flagship_run(
         )
         return extract_mentions(with_iri, forms, id_col="turn_iri")
 
-    p.stage("mentions", build_mentions, kernel_version=kernel_version)
+    mentions_res = p.stage("mentions", build_mentions, kernel_version=kernel_version)
 
     def over_mentions(build, empty_columns: dict[str, str]) -> ray.data.Dataset:
         """``build(mentions stage)``; a zero-row table of ``empty_columns``
-        (name -> dtype) when the corpus had no dictionary hit and the
-        mentions stage wrote no files."""
-        mentions = p.dataset("mentions")
-        schema = mentions.schema()
-        if schema is None or "mention" not in schema.names:
+        (name -> dtype) when the corpus had no dictionary hit."""
+        if mentions_res.rows == 0:
             return ray.data.from_pandas(
                 pd.DataFrame({c: pd.Series([], dtype=t) for c, t in empty_columns.items()})
             )
-        return build(mentions)
+        return build(p.dataset("mentions"))
 
     def build_links():
         if cfg.context_window is None:
@@ -125,7 +124,7 @@ def flagship_run(
             p.dataset("ingest"), idx, cfg, assume_sorted=ingest_is_sorted
         ).select_columns(["mention", "cand_iri", "bes", "pj"])
 
-    p.stage("links", build_links, kernel_version=kernel_version)
+    links_res = p.stage("links", build_links, kernel_version=kernel_version)
     p.stage(
         "canonical",
         lambda: over_mentions(
@@ -135,16 +134,17 @@ def flagship_run(
         kernel_version=kernel_version,
     )
 
-    def build_edges():
-        triples = p.dataset("triples")
-        links = p.dataset("links").to_pandas()
-        if links.empty or "mention" not in links.columns:
-            return triples
-        # broadcast dictionary as parallel Arrow arrays: lookup is a
+    def build_mention_edges() -> ray.data.Dataset:
+        """The ``kg:mentions`` edges, turn -> linked entity; the ``edges``
+        stage adopts the ``triples`` files next to them."""
+        if links_res.rows == 0:
+            return ray.data.from_items([])
+        # the links checkpoint is vocabulary-sized: read it on the driver and
+        # broadcast it as parallel Arrow arrays, so the lookup is a
         # vectorized index_in + take, no Python loop over rows
-        link_keys = pa.array(list(links["mention"]), pa.string())
-        link_vals = pa.array(list(links["cand_iri"]), pa.string())
-        mentions = p.dataset("mentions")
+        links = pq.read_table(links_res.path, columns=["mention", "cand_iri"])
+        link_keys = links["mention"].combine_chunks().cast(pa.string())
+        link_vals = links["cand_iri"].combine_chunks().cast(pa.string())
 
         def mention_edges(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -153,9 +153,9 @@ def flagship_run(
 
             idx = pc.index_in(batch["mention"].combine_chunks(), value_set=link_keys)
             ent = pc.take(link_vals, idx)  # null where the mention has no link
-            # dictionary pred matches the checkpointed triples' encoded schema
-            # (parquet round-trips preserve TRIPLE_SCHEMA_ENC), so the union
-            # below is type-consistent
+            # dictionary pred, as in the checkpointed triples (parquet
+            # round-trips preserve TRIPLE_SCHEMA_ENC), so the adopted triples
+            # files and these share one schema
             t = pa.table(
                 {
                     "subj": batch["turn_iri"].combine_chunks(),
@@ -166,10 +166,11 @@ def flagship_run(
             )
             return t.filter(pc.is_valid(t["obj"]))
 
-        link_edges = mentions.map_batches(mention_edges, batch_format="pyarrow")
-        return triples.union(link_edges)
+        return p.dataset("mentions").map_batches(mention_edges, batch_format="pyarrow")
 
-    res = p.stage("edges", build_edges, kernel_version=kernel_version)
+    res = p.stage(
+        "edges", build_mention_edges, kernel_version=kernel_version, adopt=p.files("triples")
+    )
     nt_dir = root + "/edges_nt"
     # rewritten when edges changed or when no complete sink was published
     # (a run killed while writing it, or a deleted directory)

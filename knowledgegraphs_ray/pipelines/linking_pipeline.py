@@ -11,7 +11,8 @@ Flow (SURVEY.md §7.1 mentions branch):
                    -> select_links: per-block best candidate per mention
                       (pick_optimal, map-only) -> one merge of the picks
                       (fastagg.reduce_partials)                       (T2-T5)
-           -> canonicalize_mentions (blocking key + union-find, A4)
+           -> canonicalize_mentions (blocking key, per-block distinct
+              partials, one union-find merge per block_key, A4)
 
 Documents (``link_scored``), flagship transcripts and the context-aware
 transcript path all run the same candidate -> score -> select chain over
@@ -20,12 +21,11 @@ distinct mentions. The context path first reduces its turns to one
 context similarity, merged by ``fastagg.merge_partials`` — and blends it
 into bes before selection, so each (mention, candidate) is scored once.
 
-Linking itself runs no shuffle: the distinct-mention count, the context
-maxima and the link selection are per-block partials merged on the driver
-(a hash repartition or Ray aggregate only above ``fastagg``'s driver
-limit). Besides the context path's (conv_id, turn_idx) sort, the one
-shuffle is the canonicalization blocking groupby, keyed on (short) mention
-strings after the corpus has been reduced to mention rows.
+Linking and canonicalization run no shuffle: the distinct-mention count,
+the context maxima, the link selection and the canonical groups are
+per-block partials merged on the driver (a hash repartition or Ray
+aggregate only above ``fastagg``'s driver limit). The context path's
+(conv_id, turn_idx) sort is the one all-to-all left.
 """
 
 from __future__ import annotations

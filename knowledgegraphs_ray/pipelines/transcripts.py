@@ -207,11 +207,14 @@ class TranscriptTripleKernel:
 
 
 def extract_transcript_triples(ds: ray.data.Dataset) -> ray.data.Dataset:
+    # one kernel call per input block: the triples keep the input's
+    # partitioning, so the files ``edges`` adopts (and the N-Triples sink
+    # reads, one task per file) are as many as the input's blocks
     return ds.map_batches(
         TranscriptTripleKernel(),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=32768,
+        batch_size=None,
     )
 
 

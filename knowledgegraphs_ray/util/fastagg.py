@@ -12,9 +12,10 @@ space explodes. This is the single most load-bearing performance pattern in
 the engine; see BASELINE.md for measurements.
 
 ``reduce_partials`` is the same two-level merge for a reduction that is not
-a column-wise sum/min/max — a block kernel that keeps one row per key (the
-per-mention link pick): the kernel runs once more over all partials, on the
-driver below ``driver_limit``, per hash partition of the keys above it.
+a column-wise sum/min/max — a key-local Arrow kernel (the per-mention link
+pick, the per-block_key canonicalization): the kernel runs over all
+partials, on the driver below ``driver_limit``, per hash partition of the
+keys above it.
 """
 
 from __future__ import annotations
@@ -97,24 +98,26 @@ def reduce_partials(
     columns: list[str],
     driver_limit: int = 5_000_000,
 ) -> ray.data.Dataset:
-    """Merge partial rows with ``reduce``, the Arrow block kernel that made
-    them. ``reduce`` must keep at most one row per ``keys`` and be
-    associative and commutative (a pick under a total order per key), so
-    re-running it over any union of its outputs gives the same rows.
+    """Merge partial rows per ``keys`` with ``reduce``, an Arrow kernel.
+
+    ``reduce`` must be key-local: it sees all of a key's partial rows in
+    one call, and the rows it returns for that key (each carrying ``keys``)
+    depend on no other key. It may return any number of rows per key: the
+    link pick keeps one, the canonicalization one per distinct mention.
 
     Below ``driver_limit`` partial rows the merge is one ``reduce`` call on
     the driver, sorted by ``keys``; above it, a hash repartition on ``keys``
-    puts each key in one block and ``reduce`` runs per block. ``columns``
-    (with ``keys``) name the zero-row result of an empty input whose
-    partials carry no schema; with a schema, it keeps every partial column,
-    as a non-empty result does."""
+    puts each key in one block and ``reduce`` runs per block. An empty input
+    gives ``reduce`` of zero rows of the partials' schema; when the
+    partials carry no schema, a zero-row table of ``keys`` + ``columns``."""
     parts, on_driver = _materialize(partials, driver_limit)
     if on_driver:
         tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
         if not tables:
-            sch = parts.schema()
-            rest = [n for n in (sch.names if sch else []) if n not in keys]
-            return _typed_empty(parts, keys + (rest or columns))
+            base = getattr(parts.schema(), "base_schema", None)
+            if isinstance(base, pa.Schema):
+                return ray.data.from_arrow(reduce(base.empty_table()))
+            return _typed_empty(parts, keys + columns)
         merged = reduce(pa.concat_tables(tables, promote_options="permissive"))
         return ray.data.from_arrow(merged.sort_by([(k, "ascending") for k in keys]))
     # key-based repartition runs on the hash shuffle only; the materialized

@@ -219,3 +219,108 @@ def test_refused_context_config_builds_no_stage(tmp_path, cfg):
     with pytest.raises(ValueError):
         flagship_run(root, ingest=_ingest, config=PipelineConfig(**cfg))
     assert not os.path.exists(root) or os.listdir(root) == []
+
+
+def _union_edges(root: str):
+    """The ``edges`` table as a ``Dataset.union`` builds it from the run's
+    checkpoints: ``triples`` ∪ the ``kg:mentions`` edges, every triple
+    decoded and re-encoded."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from knowledgegraphs_ray.extract.kernel import TRIPLE_SCHEMA_ENC, _const_dict
+    from knowledgegraphs_ray.state.checkpoint import load_stage
+
+    triples = load_stage(os.path.join(root, "triples"))
+    links = load_stage(os.path.join(root, "links")).to_pandas()
+    if links.empty or "mention" not in links.columns:
+        return triples
+    link_keys = pa.array(list(links["mention"]), pa.string())
+    link_vals = pa.array(list(links["cand_iri"]), pa.string())
+
+    def mention_edges(batch: pa.Table) -> pa.Table:
+        idx = pc.index_in(batch["mention"].combine_chunks(), value_set=link_keys)
+        t = pa.table(
+            {
+                "subj": batch["turn_iri"].combine_chunks(),
+                "pred": _const_dict("kg:mentions", batch.num_rows),
+                "obj": pc.take(link_vals, idx),
+            },
+            schema=TRIPLE_SCHEMA_ENC,
+        )
+        return t.filter(pc.is_valid(t["obj"]))
+
+    mentions = load_stage(os.path.join(root, "mentions"))
+    return triples.union(mentions.map_batches(mention_edges, batch_format="pyarrow"))
+
+
+def _edge_rows(root: str):
+    """The ``edges`` checkpoint as a multiset of (subj, pred, obj), read with
+    pyarrow, so a dangling or unreadable file fails here."""
+    import collections
+
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(os.path.join(root, "edges"))
+    cols = [t[c].cast("string").to_pylist() for c in ("subj", "pred", "obj")]
+    return collections.Counter(zip(*cols))
+
+
+def _parquet_files(stage_dir: str) -> list[str]:
+    return sorted(f for f in os.listdir(stage_dir) if f.endswith(".parquet"))
+
+
+def _nt_lines(nt_dir: str) -> list[str]:
+    lines = []
+    for f in os.listdir(nt_dir):
+        if f.endswith(".nt"):
+            with open(os.path.join(nt_dir, f)) as fh:
+                lines += fh.read().splitlines()
+    return sorted(lines)
+
+
+def test_edges_equal_the_union_and_hold_the_triples_files(tmp_path):
+    """``edges`` holds what the triples ∪ mention-edges union holds, row for
+    row, and its triples partitions are the ``triples`` files themselves;
+    its N-Triples equal the union's."""
+    import collections
+
+    from knowledgegraphs_ray.sinks.ntriples import write_ntriples
+
+    root = str(tmp_path / "run")
+    p = flagship_run(root, ingest=_ingest)
+    oracle = _union_edges(root)
+    rows = oracle.to_pandas().astype(str)
+    want = collections.Counter(map(tuple, rows[["subj", "pred", "obj"]].itertuples(index=False)))
+    got = _edge_rows(root)
+    assert got == want
+    assert sum(got.values()) == p.metrics()["edges"]["rows"] > p.metrics()["triples"]["rows"]
+
+    triples = _parquet_files(os.path.join(root, "triples"))
+    assert triples
+    for f in triples:
+        assert os.path.samefile(os.path.join(root, "triples", f), os.path.join(root, "edges", f))
+
+    write_ntriples(oracle, str(tmp_path / "oracle_nt"))
+    assert _nt_lines(os.path.join(root, "edges_nt")) == _nt_lines(str(tmp_path / "oracle_nt"))
+
+
+def test_edges_survive_a_deleted_and_a_rebuilt_triples_stage(tmp_path):
+    """The adopted triples files stay readable and unchanged in ``edges``
+    when the ``triples`` directory is deleted, and when a rerun rebuilds
+    ``triples`` while ``edges`` resumes."""
+    import shutil
+
+    root = str(tmp_path / "run")
+    flagship_run(root, ingest=_ingest)
+    before = _edge_rows(root)
+
+    shutil.rmtree(os.path.join(root, "triples"))
+    assert _edge_rows(root) == before
+
+    p = flagship_run(root, ingest=_ingest)
+    m = p.metrics()
+    assert not m["triples"]["resumed"] and m["edges"]["resumed"]
+    assert _edge_rows(root) == before
+    rebuilt = _parquet_files(os.path.join(root, "triples"))
+    assert rebuilt and set(rebuilt).isdisjoint(_parquet_files(os.path.join(root, "edges")))

@@ -93,3 +93,47 @@ def test_write_ntriples_shards(tmp_path):
     assert manifest["triples"] == 3
     assert sum(s["lines"] for s in manifest["shards"]) == 3
     assert os.path.exists(os.path.join(out, "_SUCCESS"))
+
+
+def test_manifest_rows_per_partition_from_footers(tmp_path):
+    """Each partition's ``rows`` is its Parquet footer's count and they sum
+    to the stage's ``rows``: for written files, a zero-row stage, and files
+    adopted from another stage, which are that stage's files by hard link."""
+    import pyarrow.parquet as pq
+
+    from knowledgegraphs_ray.state.checkpoint import read_manifest
+
+    root = str(tmp_path / "run")
+    p = CheckpointedPipeline(root)
+    p.stage("src", lambda: ray.data.from_items([{"x": i} for i in range(12)]).repartition(3))
+    p.stage("empty", lambda: ray.data.from_items([]))
+    res = p.stage(
+        "both", lambda: ray.data.from_items([{"x": i} for i in range(5)]), adopt=p.files("src")
+    )
+    assert res.rows == 17 and p.dataset("both").count() == 17
+    for name, rows in (("src", 12), ("empty", 0), ("both", 17)):
+        m = read_manifest(os.path.join(root, name))
+        for part in m["partitions"]:
+            path = os.path.join(root, name, part["file"])
+            assert part["rows"] == pq.read_metadata(path).num_rows
+            assert part["bytes"] == os.path.getsize(path)
+        assert sum(part["rows"] for part in m["partitions"]) == m["rows"] == rows
+    assert read_manifest(os.path.join(root, "empty"))["partitions"] == []
+
+    adopted = [pt for pt in read_manifest(os.path.join(root, "both"))["partitions"] if "from" in pt]
+    assert [pt["from"] for pt in adopted] == ["src"] * len(p.files("src"))
+    for src in p.files("src"):
+        assert os.path.samefile(src, os.path.join(root, "both", os.path.basename(src)))
+
+
+def test_stage_read_runs_one_fused_task_per_file(tmp_path):
+    """A stage with fewer files than Ray's target read parallelism is read
+    one task per file, not split into blocks that the next map then runs
+    over as separate tasks."""
+    p = CheckpointedPipeline(str(tmp_path / "run"))
+    p.stage("src", lambda: ray.data.from_items([{"x": i} for i in range(40)]).repartition(2))
+    out = p.dataset("src").map_batches(lambda b: b, batch_format="pyarrow").materialize()
+    stats = out.stats()
+    assert "SplitBlocks" not in stats, stats
+    assert "ReadParquet->MapBatches" in stats, stats
+    assert out.num_blocks() == 2 and out.count() == 40
